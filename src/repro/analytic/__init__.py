@@ -12,8 +12,13 @@ Entry points:
 * :meth:`AnalyticProfile.evaluate` — profile + config -> ``CacheStats``
 * :attr:`AnalyticProfile.coverage` / ``confident`` — honesty: how much
   of the program the closed forms actually covered.
+* :func:`predict_configs` — configs -> :class:`Prediction`, or the
+  decision to fall back to measurement; :func:`cached_profile` caches
+  profiles under :func:`analytic_key`.
 """
 
+from repro.analytic.answer import (Prediction, analytic_key,
+                                   cached_profile, predict_configs)
 from repro.analytic.engine import (CONFIDENCE_THRESHOLD, AnalyticProfile,
                                    predict_profile)
 from repro.analytic.loopmodel import ProgramModel
@@ -27,6 +32,10 @@ __all__ = [
     "LOW",
     "MEDIUM",
     "OpPrediction",
+    "Prediction",
     "ProgramModel",
+    "analytic_key",
+    "cached_profile",
+    "predict_configs",
     "predict_profile",
 ]

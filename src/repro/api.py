@@ -97,23 +97,36 @@ def analyze_program(source: str, *,
     paper's "without AG8 and AG9" configuration).
     """
     program = compile_source(source, optimize=optimize)
-    load_infos = build_load_infos(program)
-
     execution: Optional[ExecutionResult] = None
     cache_stats: Optional[CacheStats] = None
-    profile: Optional[BlockProfile] = None
-    exec_counts = None
-    hotspots = None
     if execute:
         machine = Machine(program, trace_memory=True, max_steps=max_steps)
         execution = machine.run()
         cache_stats = simulate_trace(execution.trace, cache)
+    return classify_report(program, execution, cache_stats,
+                           weights=weights, delta=delta,
+                           use_frequency=use_frequency)
+
+
+def classify_report(program: Program,
+                    execution: Optional[ExecutionResult] = None,
+                    cache_stats: Optional[CacheStats] = None, *,
+                    weights: Weights = PAPER_WEIGHTS,
+                    delta: float = DEFAULT_DELTA,
+                    use_frequency: Optional[bool] = None
+                    ) -> AnalysisReport:
+    """The second half of :func:`analyze_program`, for callers holding
+    the execution facts (``trace`` may be None) and cache stats."""
+    load_infos = build_load_infos(program)
+    profile: Optional[BlockProfile] = None
+    exec_counts = None
+    hotspots = None
+    if execution is not None:
         profile = BlockProfile.from_execution(program, execution)
         exec_counts = profile.load_exec_counts()
         hotspots = profile.hotspot_loads()
-
     if use_frequency is None:
-        use_frequency = execute
+        use_frequency = execution is not None
     classifier = DelinquencyClassifier(weights=weights, delta=delta,
                                        use_frequency=use_frequency)
     heuristic = classifier.classify(load_infos, exec_counts, hotspots)

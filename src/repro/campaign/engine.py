@@ -40,7 +40,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.cache.config import CacheConfig
 from repro.campaign.manifest import Manifest, campaign_dir
 from repro.experiments.grid import GridCell, campaign_cells, table_specs
-from repro.pipeline.session import RunKey, Session
+from repro.pipeline.session import RunKey, Session, _resolve_jobs
 
 #: Block size of the analytic profiles the tables read (Table 15 uses
 #: the baseline geometry's blocks).
@@ -340,10 +340,7 @@ class Campaign:
                    render_ready: Callable[[], None],
                    say: Callable[[str], None]) -> None:
         session = self.session
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS",
-                                      os.cpu_count() or 1))
-        jobs = max(1, min(jobs, len(compute) or 1))
+        jobs = min(_resolve_jobs(jobs), len(compute) or 1)
         if jobs == 1:
             for plan in compute:
                 wall, tier = _compute_inline(session, plan)
@@ -353,8 +350,7 @@ class Campaign:
         tasks = {
             plan.id: (session.scale, session.max_steps,
                       session.use_disk_cache, str(session.cache_dir),
-                      session.engine, plan.kind,
-                      plan.cell.run_key, plan.cell.configs)
+                      session.engine, plan)
             for plan in compute
         }
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -472,29 +468,17 @@ def _cell_worker(task: tuple) -> tuple[float, str, list, dict]:
     the disk (analytic profiles travel via the shared profile store),
     plus the worker's ProfileStore counters for aggregation.
     """
-    (scale, max_steps, use_disk_cache, cache_dir, engine, kind,
-     key_tuple, configs) = task
-    started = time.perf_counter()
+    scale, max_steps, use_disk_cache, cache_dir, engine, plan = task
     session = Session(scale=scale, cache_dir=Path(cache_dir),
                       use_disk_cache=use_disk_cache,
                       max_steps=max_steps, engine=engine)
-    key = RunKey(*key_tuple)
-    if kind == "analytic":
-        tier = "disk" if session._profile_store.get_analytic(
-            session._program_digest(key),
-            _ANALYTIC_BLOCK_SIZE) is not None else "computed"
-        session.analytic_profile(key.workload, key.input_name,
-                                 key.optimize,
-                                 block_size=_ANALYTIC_BLOCK_SIZE)
-        return (time.perf_counter() - started, tier, [],
-                dict(session._profile_store.counters))
-    tier = "disk" if all(session._is_warm(key, c) for c in configs) \
-        else "computed"
-    stats_list = session.stats_multi(key.workload, key.input_name,
-                                     key.optimize, configs)
-    payloads = [session._payload(key, stats) for stats in stats_list]
-    return (time.perf_counter() - started, tier, payloads,
-            dict(session._profile_store.counters))
+    wall, tier = _compute_inline(session, plan)
+    payloads = []
+    if plan.kind == "run":
+        key = RunKey(*plan.cell.run_key)
+        payloads = [session._payload(key, session._stats[(key, config)])
+                    for config in plan.cell.configs]
+    return wall, tier, payloads, dict(session._profile_store.counters)
 
 
 def _absorb_simulate_response(session: Session, key: RunKey,

@@ -121,8 +121,9 @@ class ChunkStream:
     object can serve multi-pass consumers (the dispatching sweep may
     profile LRU configs in one pass and replay FIFO/random fallbacks in
     another).  Metadata is optional; a store-backed stream knows its
-    digest and counts from the write-time meta record, while an ad-hoc
-    stream computes them lazily on demand (one extra column pass).
+    digest and counts from the write-time meta record (kept whole as
+    ``meta``, execution facts included), while an ad-hoc stream
+    computes them lazily on demand (one extra column pass).
     """
 
     def __init__(self, factory: Callable[[], Iterable[TraceChunk]], *,
@@ -130,8 +131,10 @@ class ChunkStream:
                  digest: Optional[str] = None,
                  prefetch_count: Optional[int] = None,
                  load_accesses: Optional[dict[int, int]] = None,
-                 store_accesses: Optional[dict[int, int]] = None):
+                 store_accesses: Optional[dict[int, int]] = None,
+                 meta: Optional[dict] = None):
         self._factory = factory
+        self.meta = meta
         self.length = length
         self._digest = digest
         self._prefetch_count = prefetch_count

@@ -6,8 +6,9 @@ experiments can share work:
 * **compile** — (workload, input, optimize) -> Program (cheap, memoized);
 * **analyze** — static address patterns per program (cheap, memoized);
 * **execute** — instruction-level run producing the block profile and the
-  memory trace (expensive; traces are held in a small LRU because they
-  dominate memory);
+  memory trace (expensive; acquired through :mod:`repro.pipeline.acquire`
+  like the service ops' traces — store hit, else a streamed execution —
+  and held in a small LRU when materialized, as they dominate memory);
 * **cache-simulate** — trace x cache-config -> per-load miss counts
   (moderately expensive; results are also persisted to a JSON disk cache
   keyed by a content hash, so re-running a bench suite skips simulation
@@ -29,14 +30,13 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.asm.program import Program
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
                                 CacheConfig)
-from repro.cache.model import CacheStats, TraceSource
+from repro.cache.model import CacheStats
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
-from repro.machine.simulator import Machine
 from repro.patterns.builder import LoadInfo, build_load_infos
+from repro.pipeline.acquire import Acquisition
 from repro.profiling.profile import BlockProfile
-from repro.store.tracestore import (TraceStore, TraceStoreCorrupt,
-                                    trace_key)
+from repro.store.tracestore import TraceStore, trace_key
 from repro.workloads.base import Workload
 from repro.workloads.registry import get as get_workload
 
@@ -186,108 +186,41 @@ class Session:
                 self.program(workload, input_name, optimize))
         return self._analyses[key]
 
-    def _trace_key(self, key: RunKey) -> str:
-        return trace_key(self.source(key.workload, key.input_name),
-                         key.optimize, self.max_steps)
-
-    def _execute(self, key: RunKey, streaming: bool = True) -> None:
-        """Run the workload once, streaming into the trace store.
-
-        With the store available the access trace goes straight to disk
-        in compressed chunks (bounded RSS, reusable by later sessions
-        and the service); without it — or with ``streaming=False`` as
-        the last-resort fallback when the store misbehaves — the trace
-        is materialized into the in-memory LRU as before.
-        """
-        program = self.program(key.workload, key.input_name, key.optimize)
-        machine = Machine(program, trace_memory=True,
-                          max_steps=self.max_steps, engine=self.engine)
-        writer = None
-        if streaming and self._trace_store is not None:
-            try:
-                writer = self._trace_store.writer(self._trace_key(key))
-            except OSError:
-                writer = None
-        if writer is not None:
-            try:
-                result = machine.run_streaming(writer)
-            except BaseException:
-                writer.abort()
-                raise
-            try:
-                writer.close(block_counts=result.block_counts,
-                             steps=result.steps,
-                             exit_code=result.exit_code,
-                             output=result.output)
-            except OSError:
-                self._trace_store.delete(self._trace_key(key))
-        else:
-            result = machine.run()
-            self._traces[key] = result.trace
-            while len(self._traces) > _TRACE_LRU:
-                self._traces.popitem(last=False)
-        self._profiles[key] = BlockProfile.from_execution(program, result)
-        self._steps[key] = result.steps
-
-    def _absorb_trace_meta(self, key: RunKey) -> bool:
-        """Adopt profile facts from a trace store hit (no execution)."""
-        if self._trace_store is None:
-            return False
-        meta = self._trace_store.meta(self._trace_key(key))
-        if not meta or not meta.get("block_counts"):
-            return False
-        try:
-            block_counts = {int(a): int(c) for a, c
-                            in meta["block_counts"].items()}
-            steps = int(meta.get("steps", 0))
-        except (AttributeError, TypeError, ValueError):
-            return False
-        program = self.program(key.workload, key.input_name, key.optimize)
-        self._profiles[key] = BlockProfile.from_block_counts(
-            program, block_counts)
-        self._steps[key] = steps
-        return True
-
-    def _trace_source(self, key: RunKey) -> TraceSource:
-        """The cheapest available access stream for one run.
-
-        Preference order: the in-memory trace LRU, then a chunked
-        stream from the on-disk trace store (absorbing the stored block
-        profile on the way), then execution — which streams into the
-        store when possible, so the next call is a store hit.
-        """
+    def _replay(self, key: RunKey, compute=None):
+        """``compute`` over the run's trace (only the facts when None),
+        adopting the run's profile and any materialized trace."""
         trace = self._traces.get(key)
         if trace is not None:
             self._traces.move_to_end(key)
-            return trace
-        if self._trace_store is not None:
-            stream = self._trace_store.open(self._trace_key(key))
-            if stream is not None:
-                if key not in self._profiles:
-                    self._absorb_trace_meta(key)
-                return stream
-        self._execute(key)
-        trace = self._traces.get(key)
-        if trace is not None:
-            return trace
-        stream = self._trace_store.open(self._trace_key(key))
-        if stream is not None:
-            return stream
-        # The store swallowed the streamed trace (e.g. a failed close):
-        # re-execute materialized so the caller always gets a source.
-        self._execute(key, streaming=False)
-        return self._traces[key]
+        acquisition = Acquisition(
+            self._trace_store,
+            trace_key(self.source(key.workload, key.input_name),
+                      key.optimize, self.max_steps),
+            lambda: self.program(key.workload, key.input_name,
+                                 key.optimize),
+            self.max_steps, self.engine, trace=trace)
+        if compute is None:
+            result = acquisition.facts()
+        else:
+            result = acquisition.replay(compute)
+        if acquisition.trace is not None:
+            self._traces[key] = acquisition.trace
+            while len(self._traces) > _TRACE_LRU:
+                self._traces.popitem(last=False)
+        execution = acquisition.execution
+        if execution is not None and execution.block_counts \
+                and key not in self._profiles:
+            self._profiles[key] = BlockProfile.from_block_counts(
+                acquisition.program, execution.block_counts)
+            self._steps[key] = execution.steps
+        return result
 
     def profile(self, workload: str, input_name: str = "input1",
                 optimize: bool = False) -> BlockProfile:
         key = RunKey(workload, input_name, optimize)
-        if key not in self._profiles:
-            loaded = self._load_disk(key, BASELINE_CONFIG,
-                                     profile_only=True)
-            if not loaded:
-                loaded = self._absorb_trace_meta(key)
-            if not loaded:
-                self._execute(key)
+        if key not in self._profiles and not self._load_disk(
+                key, BASELINE_CONFIG, profile_only=True):
+            self._replay(key)
         return self._profiles[key]
 
     def stats_multi(self, workload: str, input_name: str = "input1",
@@ -308,18 +241,8 @@ class Session:
             if config not in missing:
                 missing.append(config)
         if missing:
-            source = self._trace_source(key)
-            try:
-                stats_list = simulate_sweep(source, missing,
-                                            store=self._profile_store)
-            except TraceStoreCorrupt:
-                # A stored trace failed to decode mid-replay: drop the
-                # entry and re-execute materialized (guaranteed to
-                # produce a source even if the disk is misbehaving).
-                self._trace_store.delete(self._trace_key(key))
-                self._execute(key, streaming=False)
-                stats_list = simulate_sweep(self._traces[key], missing,
-                                            store=self._profile_store)
+            stats_list = self._replay(key, lambda source: simulate_sweep(
+                source, missing, store=self._profile_store))
             for config, stats in zip(missing, stats_list):
                 self._stats[(key, config)] = stats
                 if self.use_disk_cache:
@@ -333,19 +256,6 @@ class Session:
                                 (cache_config,))[0]
 
     # -- scenario families (TLB, PCAX, redundancy) --------------------
-    def _over_trace(self, key: RunKey, compute):
-        """Run ``compute(source)`` with the corrupt-store fallback
-        stats_multi uses: a stored trace that fails to decode
-        mid-stream is dropped and the workload re-executed
-        materialized."""
-        source = self._trace_source(key)
-        try:
-            return compute(source)
-        except TraceStoreCorrupt:
-            self._trace_store.delete(self._trace_key(key))
-            self._execute(key, streaming=False)
-            return compute(self._traces[key])
-
     def tlb_stats(self, workload: str, input_name: str = "input1",
                   optimize: bool = False,
                   configs: Sequence["TlbConfig"] = ()
@@ -360,7 +270,7 @@ class Session:
         from repro.tlb import TlbConfig, simulate_tlb
         configs = list(configs) or [TlbConfig()]
         key = RunKey(workload, input_name, optimize)
-        return self._over_trace(
+        return self._replay(
             key, lambda source: simulate_tlb(
                 source, configs, store=self._profile_store))
 
@@ -374,7 +284,7 @@ class Session:
         key = RunKey(workload, input_name, optimize)
         memo = (key, page_size, threshold)
         if memo not in self._pcax:
-            self._pcax[memo] = self._over_trace(
+            self._pcax[memo] = self._replay(
                 key, lambda source: pcax_profile(
                     source, page_size=page_size, threshold=threshold))
         return self._pcax[memo]
@@ -385,33 +295,25 @@ class Session:
         from repro.redundancy import analyze_redundancy
         key = RunKey(workload, input_name, optimize)
         if key not in self._redundancy:
-            self._redundancy[key] = self._over_trace(
+            self._redundancy[key] = self._replay(
                 key, analyze_redundancy)
         return self._redundancy[key]
 
     # -- analytic (trace-free) prediction -----------------------------
     def _program_digest(self, key: RunKey) -> str:
-        """Content key for analytic profiles: the *program*, not the
-        trace — predictions never see an execution."""
-        text = "|".join(("analytic-1",
-                         self.source(key.workload, key.input_name),
-                         str(key.optimize)))
-        return hashlib.sha1(text.encode()).hexdigest()
+        from repro.analytic.answer import analytic_key
+        return analytic_key(self.source(key.workload, key.input_name),
+                            key.optimize)
 
     def analytic_profile(self, workload: str, input_name: str = "input1",
                          optimize: bool = False, block_size: int = 32):
         """Predicted reuse profile, cached in the profile store's
         analytic keyspace (memory tier + ``an-`` disk entries)."""
-        from repro.analytic import predict_profile
-        key = RunKey(workload, input_name, optimize)
-        digest = self._program_digest(key)
-        profile = self._profile_store.get_analytic(digest, block_size)
-        if profile is None:
-            profile = predict_profile(
-                self.program(workload, input_name, optimize),
-                block_size=block_size)
-            self._profile_store.put_analytic(digest, block_size, profile)
-        return profile
+        from repro.analytic.answer import cached_profile
+        return cached_profile(
+            self._profile_store, self.source(workload, input_name),
+            optimize, lambda: self.program(workload, input_name, optimize),
+            block_size)
 
     def predict_stats(self, workload: str, input_name: str = "input1",
                       optimize: bool = False,
@@ -420,35 +322,18 @@ class Session:
         """Per-config stats predicted without executing the workload.
 
         Every LRU geometry is answered from one analytic profile per
-        block size.  When the program's static coverage is below the
-        confidence threshold (pointer chasing, unresolved trip counts)
-        — or a config's policy is not LRU — the whole request degrades
-        to the measured :meth:`stats_multi` path (``fallback=True``,
-        the default) or is answered anyway with ``analytic=True`` and
-        the low coverage reported (``fallback=False``).
+        block size (see :func:`repro.analytic.predict_configs`); a
+        request that falls back is answered by :meth:`stats_multi`.
         """
+        from repro.analytic.answer import predict_configs
         configs = list(configs)
-        profiles: dict[int, object] = {}
-        for config in configs:
-            if config.block_size not in profiles:
-                profiles[config.block_size] = self.analytic_profile(
-                    workload, input_name, optimize, config.block_size)
-        coverage = min((p.coverage for p in profiles.values()),
-                       default=0.0)
-        low: dict[int, tuple] = {}
-        for p in profiles.values():
-            low.update(p.low_confidence_pcs())
-        supported = all(c.replacement == "lru" for c in configs)
-        confident = supported and all(p.confident
-                                      for p in profiles.values())
-        if not confident and fallback:
-            stats = self.stats_multi(workload, input_name, optimize,
-                                     configs)
-            return Prediction(stats=list(stats), analytic=False,
-                              coverage=coverage, low_confidence_pcs=low)
-        stats = [profiles[c.block_size].evaluate(c) for c in configs]
-        return Prediction(stats=stats, analytic=True, coverage=coverage,
-                          low_confidence_pcs=low)
+        prediction = predict_configs(
+            configs, lambda block_size: self.analytic_profile(
+                workload, input_name, optimize, block_size), fallback)
+        if not prediction.analytic:
+            prediction.stats = self.stats_multi(workload, input_name,
+                                                optimize, configs)
+        return prediction
 
     def measurement(self, workload: str, input_name: str = "input1",
                     optimize: bool = False,
@@ -647,16 +532,6 @@ class Session:
             jobs=jobs,
             elapsed=time.perf_counter() - start,
         )
-
-
-@dataclass
-class Prediction:
-    """Result of :meth:`Session.predict_stats`."""
-
-    stats: list[CacheStats]
-    analytic: bool                 # False: served by the measured sweep
-    coverage: float                # access-weighted HIGH-confidence share
-    low_confidence_pcs: dict[int, tuple]
 
 
 @dataclass(frozen=True)

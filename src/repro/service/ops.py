@@ -7,6 +7,13 @@ on a thread or in a persistent worker process.  ``analyze`` and
 equivalent in-process :func:`repro.api.analyze_program` call — the wire
 schema *is* the export schema, so batch files and served responses are
 interchangeable.
+
+Every op that needs a trace (an executing ``analyze``, ``simulate``,
+``predict``'s fallback, ``tlb``, ``redundancy``) acquires it through
+the pipeline's single acquisition path
+(:class:`repro.pipeline.acquire.Acquisition`) over the shared trace
+store: a program the store holds is never executed again, and one the
+store cannot take is executed materialized.
 """
 
 from __future__ import annotations
@@ -14,17 +21,17 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.api import analyze_program
+from repro.api import analyze_program, classify_report
 from repro.cache.config import CacheConfig
+from repro.cache.model import simulate_trace
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
 from repro.export import report_to_dict
 from repro.heuristic.classes import Weights
-from repro.machine.simulator import Machine
+from repro.pipeline.acquire import Acquisition
 from repro.pipeline.session import default_cache_dir
 from repro.service import protocol
-from repro.store.tracestore import (TraceStore, TraceStoreCorrupt,
-                                    trace_key)
+from repro.store.tracestore import TraceStore, trace_key
 
 #: Stack-distance profiles for the merged ``simulate`` op, sharing the
 #: pipeline/service warm directory: a re-sweep of a known program with
@@ -39,110 +46,57 @@ _PROFILE_STORE = ProfileStore(disk_dir=default_cache_dir() / "stackdist")
 _TRACE_STORE = TraceStore(default_cache_dir() / "traces")
 
 
+def _acquire(params: dict[str, Any]) -> Acquisition:
+    """Compile the request's program; its trace comes through the
+    shared store (looked up at call time, so a rebound
+    ``_TRACE_STORE`` takes effect)."""
+    program = compile_source(params["source"],
+                             optimize=params["optimize"])
+    # params may carry the engine (e.g. $REPRO_ENGINE on the server).
+    return Acquisition(
+        _TRACE_STORE,
+        trace_key(params["source"], params["optimize"],
+                  params["max_steps"]),
+        lambda: program, params["max_steps"], params.get("engine"))
+
+
+def _per_pc(counts: dict[int, int]) -> dict[str, int]:
+    return {f"{pc:#x}": n for pc, n in sorted(counts.items())}
+
+
+def _cache_row(config: CacheConfig, stats) -> dict[str, Any]:
+    """One config's load columns, shared by ``simulate``/``predict``."""
+    return {
+        "config": protocol.cache_config_to_dict(config),
+        "description": config.describe(),
+        "total_load_misses": stats.total_load_misses,
+        "total_load_accesses": sum(stats.load_accesses.values()),
+        "load_misses": _per_pc(stats.load_misses),
+        "load_accesses": _per_pc(stats.load_accesses),
+    }
+
+
 def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
     """``analyze`` / ``classify``: the full pipeline, export schema out.
 
     ``params`` must be normalized (see ``protocol._normalize_analysis``);
     ``execute=False`` is the purely static ``classify`` configuration.
+    An executing ``analyze`` replays its trace from the shared store
+    like ``simulate`` does, so a known program is not executed again;
+    the payload equals the in-process report either way.
     """
-    report = analyze_program(
-        params["source"],
-        optimize=params["optimize"],
-        execute=params["execute"],
-        cache=CacheConfig(**params["cache"]),
-        weights=Weights.from_dict(params["weights"]),
-        delta=params["delta"],
-        max_steps=params["max_steps"],
-    )
-    return report_to_dict(report)
-
-
-class _TraceHandle:
-    """One workload's trace, acquired store-first, replayed many ways.
-
-    Shared by every op that needs an access trace (``simulate``,
-    ``tlb``, ``redundancy``): a repeat request for the same (source,
-    optimize, max_steps) skips execution and streams the stored
-    chunks, a cold request streams its execution into the store, and a
-    corrupt entry is dropped and re-executed materialized.  The
-    ``block_counts`` come from the stored meta on a store hit and from
-    the execution itself otherwise, so callers see identical profile
-    facts either way.
-    """
-
-    def __init__(self, params: dict[str, Any]):
-        self.program = compile_source(params["source"],
-                                      optimize=params["optimize"])
-        self._params = params
-        self._key = trace_key(params["source"], params["optimize"],
-                              params["max_steps"])
-        self.steps = 0
-        self.block_counts: dict[int, int] = {}
-        self._source = None
-
-    def _execute(self, streaming: bool):
-        """One execution; streamed into the store when possible."""
-        # The engine knob is an operator-side switch (params may carry
-        # it, e.g. from $REPRO_ENGINE on the server); it is absent from
-        # request/cache/store keys because both engines are
-        # bit-identical.
-        machine = Machine(self.program, trace_memory=True,
-                          max_steps=self._params["max_steps"],
-                          engine=self._params.get("engine"))
-        writer = None
-        if streaming:
-            try:
-                writer = _TRACE_STORE.writer(self._key)
-            except OSError:
-                writer = None
-        if writer is None:
-            execution = machine.run()
-            self._adopt(execution)
-            return execution.trace
-        try:
-            execution = machine.run_streaming(writer)
-        except BaseException:
-            writer.abort()
-            raise
-        try:
-            writer.close(block_counts=execution.block_counts,
-                         steps=execution.steps,
-                         exit_code=execution.exit_code,
-                         output=execution.output)
-        except OSError:
-            _TRACE_STORE.delete(self._key)
-        self._adopt(execution)
-        return _TRACE_STORE.open(self._key)
-
-    def _adopt(self, execution) -> None:
-        self.steps = execution.steps
-        self.block_counts = dict(execution.block_counts)
-
-    def source(self):
-        """The cheapest replayable trace source (store stream first)."""
-        if self._source is None:
-            self._source = _TRACE_STORE.open(self._key)
-            if self._source is not None:
-                meta = _TRACE_STORE.meta(self._key)
-                self.steps = int(meta["steps"])
-                self.block_counts = {
-                    int(a): int(c)
-                    for a, c in (meta.get("block_counts")
-                                 or {}).items()}
-            else:
-                self._source = self._execute(streaming=True)
-                if self._source is None:
-                    self._source = self._execute(streaming=False)
-        return self._source
-
-    def replay(self, compute):
-        """``compute(source)`` with the corrupt-store fallback."""
-        try:
-            return compute(self.source())
-        except TraceStoreCorrupt:
-            _TRACE_STORE.delete(self._key)
-            self._source = self._execute(streaming=False)
-            return compute(self._source)
+    options = dict(weights=Weights.from_dict(params["weights"]),
+                   delta=params["delta"])
+    if not params["execute"]:
+        return report_to_dict(analyze_program(
+            params["source"], optimize=params["optimize"], execute=False,
+            **options))
+    cache = CacheConfig(**params["cache"])
+    acquisition = _acquire(params)
+    stats = acquisition.replay(
+        lambda source: simulate_trace(source, cache))
+    return report_to_dict(classify_report(
+        acquisition.program, acquisition.facts(), stats, **options))
 
 
 def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
@@ -152,47 +106,34 @@ def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
     (:func:`repro.cache.stackdist.simulate_sweep`): a request for N
     configs — or N batched requests for one config each — costs at most
     one trace pass, and LRU geometry sweeps collapse to one pass per
-    set mapping with the per-PC distance profile cached on disk.  The
-    trace itself comes from the shared :class:`_TraceHandle` (chunked
-    trace store, one execution ever).
+    set mapping with the per-PC distance profile cached on disk.
     """
     configs = [CacheConfig(**entry) for entry in params["configs"]]
-    handle = _TraceHandle(params)
-    program = handle.program
-    sweep = handle.replay(
+    acquisition = _acquire(params)
+    sweep = acquisition.replay(
         lambda source: simulate_sweep(source, configs,
                                       store=_PROFILE_STORE))
-    steps = handle.steps
+    facts = acquisition.facts()
     results = []
     for config, stats in zip(configs, sweep):
-        results.append({
-            "config": protocol.cache_config_to_dict(config),
-            "description": config.describe(),
-            "total_load_misses": stats.total_load_misses,
-            "total_load_accesses": sum(stats.load_accesses.values()),
-            "load_misses": {f"{a:#x}": m for a, m in
-                            sorted(stats.load_misses.items())},
-            "load_accesses": {f"{a:#x}": m for a, m in
-                              sorted(stats.load_accesses.items())},
-            # Full per-PC store and prefetch columns: remote campaign
-            # cells rebuild a complete CacheStats from this response.
-            "store_misses": {f"{a:#x}": m for a, m in
-                             sorted(stats.store_misses.items())},
-            "store_accesses": {f"{a:#x}": m for a, m in
-                               sorted(stats.store_accesses.items())},
-            "prefetch_ops": stats.prefetch_ops,
-            "prefetch_fills": stats.prefetch_fills,
-        })
+        # Full per-PC store and prefetch columns: remote campaign
+        # cells rebuild a complete CacheStats from this response.
+        results.append(dict(
+            _cache_row(config, stats),
+            store_misses=_per_pc(stats.store_misses),
+            store_accesses=_per_pc(stats.store_accesses),
+            prefetch_ops=stats.prefetch_ops,
+            prefetch_fills=stats.prefetch_fills))
     response = {
-        "steps": steps,
-        "num_loads": program.num_loads(),
+        "steps": facts.steps,
+        "num_loads": acquisition.program.num_loads(),
         "results": results,
     }
     # The block profile lets remote callers reconstruct the
     # BlockProfile (hotspot loads, exec counts) without executing.
-    if handle.block_counts:
+    if facts.block_counts:
         response["block_counts"] = {str(a): int(c) for a, c in
-                                    handle.block_counts.items()}
+                                    facts.block_counts.items()}
     return response
 
 
@@ -201,91 +142,38 @@ def run_predict(params: dict[str, Any]) -> dict[str, Any]:
 
     Serves LRU geometries from the analytic reuse profile (cached in
     the profile store's ``an-`` keyspace, keyed by program content).
-    When static coverage is below the confidence threshold — pointer
-    chasing, unresolved trip counts — the request degrades to the
-    measured ``simulate`` path unless ``fallback`` is off, in which
-    case the low-coverage prediction is returned as-is with its
+    When :func:`repro.analytic.predict_configs` decides to fall back —
+    static coverage below the confidence threshold (pointer chasing,
+    unresolved trip counts) or a non-LRU policy — the request degrades
+    to the measured ``simulate`` path unless ``fallback`` is off, in
+    which case the low-coverage prediction is returned as-is with its
     confidence reported.  Either way the per-config result rows mirror
     ``simulate``'s schema, plus the analytic provenance fields.
     """
-    import hashlib
-
-    from repro.analytic import predict_profile
-
+    from repro.analytic.answer import cached_profile, predict_configs
     program = compile_source(params["source"],
                              optimize=params["optimize"])
     configs = [CacheConfig(**entry) for entry in params["configs"]]
-    digest = hashlib.sha1("|".join(
-        ("analytic-1", params["source"],
-         str(params["optimize"]))).encode()).hexdigest()
-    profiles: dict[int, Any] = {}
-    for config in configs:
-        if config.block_size in profiles:
-            continue
-        profile = _PROFILE_STORE.get_analytic(digest, config.block_size)
-        if profile is None:
-            profile = predict_profile(program,
-                                      block_size=config.block_size)
-            _PROFILE_STORE.put_analytic(digest, config.block_size,
-                                        profile)
-        profiles[config.block_size] = profile
-    coverage = min((p.coverage for p in profiles.values()), default=0.0)
-    supported = all(c.replacement == "lru" for c in configs)
-    confident = supported and all(p.confident
-                                  for p in profiles.values())
-    if not confident and params["fallback"]:
+    prediction = predict_configs(
+        configs, lambda block_size: cached_profile(
+            _PROFILE_STORE, params["source"], params["optimize"],
+            lambda: program, block_size), params["fallback"])
+    if not prediction.analytic:
         response = run_simulate(params)
         response["analytic"] = False
-        response["coverage"] = coverage
+        response["coverage"] = prediction.coverage
         return response
-    low: dict[int, tuple] = {}
-    for profile in profiles.values():
-        low.update(profile.low_confidence_pcs())
-    results = []
-    for config in configs:
-        stats = profiles[config.block_size].evaluate(config)
-        results.append({
-            "config": protocol.cache_config_to_dict(config),
-            "description": config.describe(),
-            "total_load_misses": stats.total_load_misses,
-            "total_load_accesses": sum(stats.load_accesses.values()),
-            "load_misses": {f"{a:#x}": m for a, m in
-                            sorted(stats.load_misses.items())},
-            "load_accesses": {f"{a:#x}": m for a, m in
-                              sorted(stats.load_accesses.items())},
-        })
     return {
         "steps": 0,                       # no machine execution
         "num_loads": program.num_loads(),
-        "results": results,
+        "results": [_cache_row(config, stats) for config, stats
+                    in zip(configs, prediction.stats)],
         "analytic": True,
-        "coverage": coverage,
-        "low_confidence_pcs": {f"{pc:#x}": list(reasons)
-                               for pc, reasons in sorted(low.items())},
+        "coverage": prediction.coverage,
+        "low_confidence_pcs": {
+            f"{pc:#x}": list(reasons) for pc, reasons
+            in sorted(prediction.low_confidence_pcs.items())},
     }
-
-
-def _delinquent_set(handle: _TraceHandle) -> set[int]:
-    """The heuristic's delinquent set for one traced workload.
-
-    Exec counts and hotspots come from the block profile the
-    :class:`_TraceHandle` guarantees (stored meta or the execution
-    itself), so the set is identical on cold and store-warmed paths.
-    """
-    from repro.heuristic.classifier import DelinquencyClassifier
-    from repro.patterns.builder import build_load_infos
-    from repro.profiling.profile import BlockProfile
-    load_infos = build_load_infos(handle.program)
-    exec_counts = None
-    hotspots = None
-    if handle.block_counts:
-        profile = BlockProfile.from_block_counts(handle.program,
-                                                 handle.block_counts)
-        exec_counts = profile.load_exec_counts()
-        hotspots = profile.hotspot_loads()
-    classifier = DelinquencyClassifier()
-    return classifier.classify(load_infos, exec_counts,
-                               hotspots).delinquent_set
 
 
 def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
@@ -295,13 +183,14 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
     per-PC distance histograms for each page size persist beside the
     cache sweeps' — and evaluates the PCAX predictor at the first
     geometry's page size, cross-tabulating PCAX-friendly loads against
-    the paper's delinquent set.
+    the paper's delinquent set (classified with the run's exec counts
+    and hotspots, identical on cold and store-warmed paths).
     """
     from repro.tlb import (TlbConfig, pcax_crosstab, pcax_profile,
                            simulate_tlb)
     configs = [TlbConfig(**entry) for entry in params["geometries"]]
-    handle = _TraceHandle(params)
-    sweep = handle.replay(
+    acquisition = _acquire(params)
+    sweep = acquisition.replay(
         lambda source: simulate_tlb(source, configs,
                                     store=_PROFILE_STORE))
     results = []
@@ -312,25 +201,23 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
             "total_accesses": stats.total_accesses,
             "total_misses": stats.total_misses,
             "miss_rate": stats.miss_rate,
-            "load_misses": {f"{a:#x}": m for a, m in
-                            sorted(stats.load_misses.items())},
-            "load_accesses": {f"{a:#x}": m for a, m in
-                              sorted(stats.load_accesses.items())},
-            "store_misses": {f"{a:#x}": m for a, m in
-                             sorted(stats.store_misses.items())},
-            "store_accesses": {f"{a:#x}": m for a, m in
-                               sorted(stats.store_accesses.items())},
+            "load_misses": _per_pc(stats.load_misses),
+            "load_accesses": _per_pc(stats.load_accesses),
+            "store_misses": _per_pc(stats.store_misses),
+            "store_accesses": _per_pc(stats.store_accesses),
         })
     page_size = configs[0].page_size
-    profile = handle.replay(
+    profile = acquisition.replay(
         lambda source: pcax_profile(source, page_size=page_size,
                                     threshold=params["threshold"]))
+    facts = acquisition.facts()
     friendly = profile.friendly_set()
-    delinquent = _delinquent_set(handle)
+    delinquent = classify_report(acquisition.program,
+                                 facts).delinquent_loads
     universe = set(profile.loads)
     return {
-        "steps": handle.steps,
-        "num_loads": handle.program.num_loads(),
+        "steps": facts.steps,
+        "num_loads": acquisition.program.num_loads(),
         "results": results,
         "pcax": {
             "page_size": page_size,
@@ -356,17 +243,15 @@ def run_redundancy(params: dict[str, Any]) -> dict[str, Any]:
     from repro.patterns.builder import build_load_infos
     from repro.profiling.profile import BlockProfile
     from repro.redundancy import ag_crosstab, analyze_redundancy
-    handle = _TraceHandle(params)
-    stats = handle.replay(analyze_redundancy)
-    load_infos = build_load_infos(handle.program)
-    load_exec: dict[int, int] = {}
-    if handle.block_counts:
-        profile = BlockProfile.from_block_counts(handle.program,
-                                                 handle.block_counts)
-        load_exec = profile.load_exec_counts()
+    acquisition = _acquire(params)
+    stats = acquisition.replay(analyze_redundancy)
+    facts = acquisition.facts()
+    program = acquisition.program
+    load_exec = BlockProfile.from_execution(program,
+                                            facts).load_exec_counts()
     return {
-        "steps": handle.steps,
-        "num_loads": handle.program.num_loads(),
+        "steps": facts.steps,
+        "num_loads": program.num_loads(),
         "total_loads": stats.total_loads,
         "total_redundant": stats.total_redundant,
         "total_reload_after_store": stats.total_reload_after_store,
@@ -376,7 +261,8 @@ def run_redundancy(params: dict[str, Any]) -> dict[str, Any]:
                       "redundant": load.redundant,
                       "reload_after_store": load.reload_after_store}
                   for pc, load in sorted(stats.loads.items())},
-        "classes": ag_crosstab(stats, load_infos, load_exec),
+        "classes": ag_crosstab(stats, build_load_infos(program),
+                               load_exec),
     }
 
 

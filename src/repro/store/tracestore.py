@@ -272,7 +272,9 @@ class TraceStore:
         """A re-openable stream over a stored entry, or None on miss.
 
         Decoding is lazy, so corruption surfaces as
-        :class:`TraceStoreCorrupt` during iteration, not here.  Reading
+        :class:`TraceStoreCorrupt` during iteration, not here.  The
+        parsed meta sidecar rides along as the stream's ``meta``, so a
+        hit needs no second read of it.  Reading
         touches the entry's mtime, which is the LRU signal the cache
         garbage collector evicts by.
         """
@@ -293,6 +295,7 @@ class TraceStore:
                            in meta["load_accesses"].items()},
             store_accesses={int(pc): n for pc, n
                             in meta["store_accesses"].items()},
+            meta=meta,
         )
 
     def delete(self, key: str) -> None:

@@ -161,6 +161,15 @@ class TestCampaign:
         assert sorted(result.tables) == list(TABLES)
         assert result.computed > 0
 
+    def test_empty_repro_jobs_falls_back_like_warm(self, tmp_path,
+                                                   monkeypatch):
+        # An empty $REPRO_JOBS used to crash int(''); Session.warm
+        # already treated it as unset.  Table 6 is static-only, so the
+        # run spawns no worker pool.
+        monkeypatch.setenv("REPRO_JOBS", "")
+        result = Campaign(_session(tmp_path), numbers=(6,)).run()
+        assert sorted(result.tables) == [6]
+
     def test_resume_recomputes_nothing(self, tmp_path):
         session = _session(tmp_path)
         campaign = Campaign(session, numbers=TABLES)

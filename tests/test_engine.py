@@ -62,9 +62,8 @@ def hier_key(stats):
 def workload_trace():
     """A real (execution-produced) memory trace, once per module."""
     session = Session(scale=SCALE, use_disk_cache=False)
-    key = RunKey(WL, "input1", False)
-    session._execute(key)
-    return session._traces[key]
+    session.profile(WL)      # no trace store: executes materialized
+    return session._traces[RunKey(WL, "input1", False)]
 
 
 # -- simulate_trace_multi ---------------------------------------------
